@@ -1,33 +1,27 @@
-"""Bottom-up summary aggregation.
+"""Bottom-up summary aggregation: the per-server protocol pieces.
 
-Each aggregation round, every resource owner exports its (summary or raw)
-data to its attachment point, and every non-root server sends its branch
-summary — the merge of its local data and its children's latest branch
-summaries — to its parent. After one full round the root holds the global
-view. Summaries are soft state: reports carry the round's timestamp and
+Every epoch (t_s), each guest owner exports a fresh summary to its
+attachment point, and every non-root server reports its branch summary
+— the merge of its local data and its children's latest reports — to
+its parent. Once every level has reported, the root holds the global
+view. Summaries are soft state: reports carry the epoch's timestamp and
 expire after their TTL.
 
-Two execution modes are provided:
-
-* :func:`aggregate_round` — one synchronous post-order round with exact
-  byte accounting, used by the overhead experiments (running the DES for
-  every one of the millions of update messages in a SWORD comparison
-  would be pointlessly slow; the byte totals are identical).
-* :class:`PeriodicAggregation` — event-driven periodic rounds inside the
-  simulator, used by the maintenance/dynamics tests.
+This module holds what one server sends and what a receiver does with
+it: :class:`SummaryExporter` builds a server's report (full summary or
+delta keep-alive), :func:`build_owner_export` a guest owner's export,
+and :class:`SummaryUpdate` is the wire payload installed at delivery.
+:class:`~repro.roads.update_plane.UpdatePlane` schedules them over the
+simulated network.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
-from ..sim.engine import PeriodicTask, Simulator
-from ..sim.metrics import UPDATE, MetricsCollector
 from ..summaries.config import SummaryConfig
 from ..summaries.summary import ResourceSummary
-from ..telemetry.core import Telemetry
-from .join import Hierarchy
 from .node import Server
 
 #: bytes of branch metadata (depth, descendant count) piggybacked on each
@@ -39,7 +33,7 @@ HEADER_BYTES = 16
 
 @dataclass
 class AggregationReport:
-    """Outcome of one aggregation round."""
+    """Byte accounting of one epoch's guest exports and parent reports."""
 
     export_bytes: int
     aggregation_bytes: int
@@ -52,116 +46,6 @@ class AggregationReport:
     @property
     def total_bytes(self) -> int:
         return self.export_bytes + self.aggregation_bytes
-
-
-def refresh_owner_exports(
-    hierarchy: Hierarchy, config: SummaryConfig, now: float = 0.0
-) -> int:
-    """Re-export every attached owner's data; returns the bytes sent.
-
-    Owners that control their server re-send records only conceptually
-    (the server reads them locally — no wide-area traffic); third-party
-    attached owners ship a fresh summary over the network.
-    """
-    total = 0
-    for server in hierarchy:
-        for owner in server.owners:
-            if not owner.controls_server:
-                owner.summary = ResourceSummary.from_store(
-                    owner.origin, config, created_at=now
-                )
-                total += owner.summary.encoded_size() + HEADER_BYTES
-    return total
-
-
-def aggregate_round(
-    hierarchy: Hierarchy,
-    config: SummaryConfig,
-    now: float = 0.0,
-    metrics: Optional[MetricsCollector] = None,
-    *,
-    refresh_exports: bool = True,
-    delta: bool = False,
-    telemetry: Optional[Telemetry] = None,
-) -> AggregationReport:
-    """One synchronous bottom-up aggregation round.
-
-    Children report before parents (post-order), so after the round each
-    server's ``child_summaries`` reflect this round and the root's branch
-    summary covers the whole federation.
-
-    With ``delta=True``, a server whose branch summary is unchanged since
-    its last report sends only a keep-alive header that refreshes the
-    parent's soft state — the steady-state traffic saving behind the
-    paper's t_s >> t_r argument (records changing within the same
-    histogram bucket leave the summary untouched).
-    """
-    span = (
-        telemetry.span("update.aggregate", delta=delta)
-        if telemetry is not None
-        else None
-    )
-    prof = telemetry.profiler if telemetry is not None else None
-    if prof is not None:
-        prof.enter("update.aggregate")
-    export_bytes = refresh_owner_exports(hierarchy, config, now) if refresh_exports else 0
-    if metrics is not None and export_bytes:
-        metrics.record_message(UPDATE, export_bytes, phase="export")
-
-    agg_bytes = 0
-    messages = 0
-    full_reports = 0
-    keepalive_reports = 0
-
-    def visit(server: Server) -> None:
-        nonlocal agg_bytes, messages, full_reports, keepalive_reports
-        for child in server.children:
-            visit(child)
-        if server.parent is not None:
-            summary = server.branch_summary(config, now)
-            size = HEADER_BYTES + BRANCH_STATS_BYTES
-            if summary is not None:
-                summary = summary.refreshed(now)
-                fp = summary.fingerprint()
-                unchanged = (
-                    delta
-                    and fp == server.last_reported_fingerprint
-                    and server.server_id in server.parent.child_summaries
-                )
-                server.parent.child_summaries[server.server_id] = summary
-                if unchanged:
-                    keepalive_reports += 1
-                else:
-                    size += summary.encoded_size()
-                    full_reports += 1
-                server.last_reported_fingerprint = fp
-            agg_bytes += size
-            messages += 1
-            if metrics is not None:
-                # The parent receives (and merges) the child's report.
-                metrics.record_message(
-                    UPDATE, size,
-                    server=server.parent.server_id, phase="aggregate",
-                )
-
-    visit(hierarchy.root)
-    if prof is not None:
-        prof.exit()
-    if span is not None:
-        span.annotate(
-            bytes=export_bytes + agg_bytes,
-            messages=messages,
-            full_reports=full_reports,
-            keepalive_reports=keepalive_reports,
-        )
-        span.close()
-    return AggregationReport(
-        export_bytes=export_bytes,
-        aggregation_bytes=agg_bytes,
-        messages=messages,
-        full_reports=full_reports,
-        keepalive_reports=keepalive_reports,
-    )
 
 
 @dataclass
@@ -225,13 +109,12 @@ def install_batch(server: Server, updates, now: float) -> list:
 class SummaryExporter:
     """Per-server actor: exports the branch summary to the parent.
 
-    Replaces the receiver-peeking delta rule of :func:`aggregate_round`
-    with sender-side state only: the exporter remembers the fingerprint
-    it last shipped (shared with :func:`aggregate_round` through
-    ``server.last_reported_fingerprint``), the parent it shipped to, and
-    when it last sent a full summary. A full send is forced when the
-    parent changed (rejoin — the new parent has no state for us) or when
-    ``refresh_after`` elapsed since the last full (soft-state
+    Delta state is sender-side only: the exporter remembers the
+    fingerprint it last shipped (``server.last_reported_fingerprint``,
+    also piggybacked on maintenance heartbeats), the parent it shipped
+    to, and when it last sent a full summary. A full send is forced when
+    the parent changed (rejoin — the new parent has no state for us) or
+    when ``refresh_after`` elapsed since the last full (soft-state
     anti-entropy: bounds staleness when a full send was lost and the
     receiver is silently discarding our keep-alives).
     """
@@ -260,9 +143,7 @@ class SummaryExporter:
         """Force a full send on the next export (parent changed)."""
         self._last_parent = None
 
-    def build_update(
-        self, now: float, *, force_full: bool = False
-    ) -> Optional[tuple]:
+    def build_update(self, now: float) -> Optional[tuple]:
         """One epoch's report to the parent: ``(update, size_bytes)``.
 
         Returns None when there is no parent to report to (root) or the
@@ -281,7 +162,6 @@ class SummaryExporter:
         fp = summary.fingerprint()
         keepalive = (
             self.delta
-            and not force_full
             and parent.server_id == self._last_parent
             and fp == server.last_reported_fingerprint
             and (now - self._last_full_at) < self.refresh_after
@@ -305,43 +185,3 @@ def build_owner_export(
         "owner", owner.node_id, summary, owner_id=owner.owner_id
     )
     return update, size
-
-
-class PeriodicAggregation:
-    """Event-driven aggregation: one round every ``interval`` (= t_s)."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        hierarchy: Hierarchy,
-        config: SummaryConfig,
-        interval: float,
-        metrics: Optional[MetricsCollector] = None,
-        telemetry: Optional[Telemetry] = None,
-    ):
-        self.sim = sim
-        self.hierarchy = hierarchy
-        self.config = config
-        self.interval = interval
-        self.metrics = metrics
-        self.telemetry = telemetry
-        self.rounds = 0
-        self.last_report: Optional[AggregationReport] = None
-        self._task: Optional[PeriodicTask] = sim.schedule_periodic(
-            interval, self._round, first_delay=0.0, label="update.round"
-        )
-
-    def _round(self) -> None:
-        now = self.sim.now
-        for server in self.hierarchy:
-            server.expire_stale_summaries(now)
-        self.last_report = aggregate_round(
-            self.hierarchy, self.config, now, self.metrics,
-            telemetry=self.telemetry,
-        )
-        self.rounds += 1
-
-    def stop(self) -> None:
-        if self._task is not None:
-            self._task.stop()
-            self._task = None

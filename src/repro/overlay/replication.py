@@ -7,10 +7,11 @@ cover the entire hierarchy, letting a search start at any server.
 
 Replication piggybacks on the hierarchy: a server's branch summary is
 propagated down its own branch, and its parent forwards it to its siblings
-which propagate it to their descendants. Each replicated summary therefore
-reaches each holder across one tree edge per round; we account one message
-of the summary's encoded size per (holder, replicated summary) pair, which
-reproduces the paper's ``O(k·n·log n)`` replication message term.
+which propagate it to their descendants. Each epoch, every source's
+:class:`ReplicaPusher` sends one message per (holder, replicated summary)
+pair — the full encoded summary, or a keep-alive header under delta
+updates — which reproduces the paper's ``O(k·n·log n)`` replication
+message term.
 """
 
 from __future__ import annotations
@@ -18,10 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
-from ..sim.metrics import UPDATE, MetricsCollector
 from ..summaries.config import SummaryConfig
-from ..telemetry.core import Telemetry
-from ..summaries.summary import ResourceSummary
 from ..hierarchy.join import Hierarchy
 from ..hierarchy.node import Server
 
@@ -75,7 +73,7 @@ def coverage_ids(server: Server) -> Set[int]:
 
 @dataclass
 class ReplicationReport:
-    """Outcome of one overlay replication round."""
+    """Byte accounting of one epoch's replica pushes."""
 
     replication_bytes: int
     messages: int
@@ -85,115 +83,16 @@ class ReplicationReport:
 
 
 class ReplicationOverlay:
-    """Maintains replicated summaries across a hierarchy."""
+    """The overlay's shared state across a hierarchy.
+
+    Holds the delta map every :class:`ReplicaPusher` reads and writes:
+    the last shipped fingerprint per ``(holder, source, table)``.
+    """
 
     def __init__(self, hierarchy: Hierarchy, config: SummaryConfig):
         self.hierarchy = hierarchy
         self.config = config
-        # last shipped fingerprint per (holder, source, table) for deltas
         self._last_fp: Dict[tuple, bytes] = {}
-
-    def replicate_round(
-        self,
-        now: float = 0.0,
-        metrics: Optional[MetricsCollector] = None,
-        *,
-        delta: bool = False,
-        telemetry: Optional[Telemetry] = None,
-    ) -> ReplicationReport:
-        """Refresh every server's replicated summaries from current state.
-
-        Must run after an aggregation round so branch summaries are fresh.
-        With ``delta=True``, a replica whose source summary is unchanged
-        since the last round costs only a keep-alive header.
-        """
-        span = (
-            telemetry.span("update.replicate", delta=delta)
-            if telemetry is not None
-            else None
-        )
-        prof = telemetry.profiler if telemetry is not None else None
-        if prof is not None:
-            prof.enter("update.replicate")
-        # Compute each server's branch and local summaries once.
-        branch: Dict[int, Optional[ResourceSummary]] = {}
-        local: Dict[int, Optional[ResourceSummary]] = {}
-        for server in self.hierarchy:
-            branch[server.server_id] = server.branch_summary(self.config, now)
-            local[server.server_id] = server.local_summary(self.config, now)
-
-        total_bytes = 0
-        messages = 0
-        full_sends = 0
-        keepalive_sends = 0
-        # Fingerprints computed once per source per round.
-        fp_cache: Dict[tuple, bytes] = {}
-
-        def fp_of(table: str, src_id: int, summary: ResourceSummary) -> bytes:
-            key = (table, src_id)
-            fp = fp_cache.get(key)
-            if fp is None:
-                fp = summary.fingerprint()
-                fp_cache[key] = fp
-            return fp
-
-        def ship(server: Server, table: str, src_id: int,
-                 summary: ResourceSummary, target: Dict[int, ResourceSummary]) -> None:
-            nonlocal total_bytes, messages, full_sends, keepalive_sends
-            target[src_id] = summary
-            size = _HEADER_BYTES
-            key = (server.server_id, src_id, table)
-            if delta:
-                fp = fp_of(table, src_id, summary)
-                if self._last_fp.get(key) == fp:
-                    keepalive_sends += 1
-                else:
-                    size += summary.encoded_size()
-                    full_sends += 1
-                self._last_fp[key] = fp
-            else:
-                size += summary.encoded_size()
-                full_sends += 1
-            total_bytes += size
-            messages += 1
-            if metrics is not None:
-                # The holder receives the replicated summary.
-                metrics.record_message(
-                    UPDATE, size, server=server.server_id, phase="replicate"
-                )
-
-        for server in self.hierarchy:
-            server.replicated_summaries.clear()
-            server.replicated_local_summaries.clear()
-            for src in replication_sources(server):
-                summary = branch.get(src.server_id)
-                if summary is None:
-                    continue
-                ship(server, "branch", src.server_id, summary,
-                     server.replicated_summaries)
-            # Ancestors additionally ship their local-owner summaries
-            # (piggybacked on the same downward propagation) so a start
-            # server can tell whether the ancestor itself holds data.
-            for anc in server.ancestors():
-                summary = local.get(anc.server_id)
-                if summary is None:
-                    continue
-                ship(server, "local", anc.server_id, summary,
-                     server.replicated_local_summaries)
-        if prof is not None:
-            prof.exit()
-        if span is not None:
-            span.annotate(
-                bytes=total_bytes, messages=messages,
-                full_sends=full_sends, keepalive_sends=keepalive_sends,
-            )
-            span.close()
-        return ReplicationReport(
-            replication_bytes=total_bytes,
-            messages=messages,
-            full_sends=full_sends,
-            keepalive_sends=keepalive_sends,
-        )
 
     def check_coverage(self) -> None:
         """Assert the whole-hierarchy coverage invariant for every server."""
@@ -215,15 +114,12 @@ class ReplicationOverlay:
 class ReplicaPusher:
     """Per-server actor: pushes this server's summaries to its holders.
 
-    The event-driven counterpart of :meth:`ReplicationOverlay.
-    replicate_round`, inverted: instead of every holder pulling from all
-    its sources in one synchronous pass, each *source* pushes its branch
-    summary to :func:`replication_audience` and its local-owner summary
-    to its descendants, through real network messages installed at
-    delivery time. Delta state lives in the overlay's shared
-    ``(holder, source, table) -> fingerprint`` map so synchronous rounds
-    and pushed epochs stay coherent; ``refresh_after`` forces a periodic
-    full re-send per holder (soft-state anti-entropy under loss).
+    Each *source* pushes its branch summary to
+    :func:`replication_audience` and its local-owner summary to its
+    descendants. Delta state lives in the overlay's shared
+    ``(holder, source, table) -> fingerprint`` map; ``refresh_after``
+    forces a periodic full re-send per holder (soft-state anti-entropy
+    under loss).
     """
 
     __slots__ = ("server", "overlay", "delta", "refresh_after",
@@ -248,7 +144,7 @@ class ReplicaPusher:
         # (holder_id, table) -> time of the last full send to that holder
         self._last_full_at: Dict[tuple, float] = {}
 
-    def build_updates(self, now: float, *, force_full: bool = False) -> List[tuple]:
+    def build_updates(self, now: float) -> List[tuple]:
         """One epoch's pushes from this source: ``[(holder_id, update, size)]``.
 
         Payload objects are shared across holders receiving the same
@@ -283,7 +179,6 @@ class ReplicaPusher:
                 ) >= self.refresh_after
                 send_keepalive = (
                     self.delta
-                    and not force_full
                     and not stale_full
                     and last_fp.get(key) == fp
                 )

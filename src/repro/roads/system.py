@@ -16,7 +16,6 @@ execution. This is the library's primary entry point::
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -24,7 +23,6 @@ import numpy as np
 
 from ..net.coordinates import DelaySpace
 from ..net.transport import Network, ServiceConfig
-from ..query.query import Query
 from ..records.store import RecordStore
 from ..sim.engine import Simulator
 from ..sim.metrics import QUERY, UPDATE, MetricsCollector
@@ -238,15 +236,12 @@ class RoadsSystem:
         return self.update_plane
 
     def refresh(self) -> UpdateRoundReport:
-        """One summary epoch, driven through the message fabric.
+        """One coordinated summary epoch, driven through the network.
 
-        Compatibility shim over :meth:`UpdatePlane.run_epoch`: triggers a
-        coordinated epoch (guest exports, then bottom-up reports deepest
-        level first, replica pushes alongside) and drains the simulator
-        to quiescence, so callers see the same completed-epoch semantics
-        — and, loss-free, the same byte totals — as the old synchronous
-        in-place rounds. The virtual clock advances by the epoch's real
-        propagation time.
+        Runs :meth:`UpdatePlane.run_epoch`: guest owners export, servers
+        report and push replicas deepest level first, and the simulator
+        is drained until every update has been delivered or lost. The
+        virtual clock advances by the epoch's propagation time.
         """
         report = self._plane().run_epoch()
         self.last_update_report = report
@@ -483,12 +478,11 @@ class RoadsSystem:
     ) -> List[SearchResult]:
         """Serve a batch of requests; results in request order.
 
-        Without *arrivals*, requests run back-to-back (each drained to
-        completion before the next starts — the legacy sequential
-        semantics, bit-identical to the old ``execute_queries``). With
-        *arrivals* — per-request submission offsets in seconds from now
-        — all queries are multiplexed concurrently over the shared
-        dispatcher and the simulator is driven until every one resolves.
+        Without *arrivals*, requests run back-to-back, each drained to
+        completion before the next starts. With *arrivals* — per-request
+        submission offsets in seconds from now — all queries are
+        multiplexed concurrently over the shared dispatcher and the
+        simulator is driven until every one resolves.
         """
         requests = list(requests)
         if arrivals is None:
@@ -579,95 +573,6 @@ class RoadsSystem:
         )
         for sid in ids:
             self.network.set_service(sid, config)
-
-    # -- deprecated query shims --------------------------------------------------
-    def execute_query(
-        self,
-        query: Query,
-        *,
-        start_server: Optional[int] = None,
-        client_node: Optional[int] = None,
-        collect_records: bool = False,
-        use_overlay: bool = True,
-        scope: Optional[int] = None,
-        first_k: Optional[int] = None,
-        trace: bool = False,
-    ) -> QueryOutcome:
-        """Deprecated: use :meth:`search` with a :class:`SearchRequest`.
-
-        Kwargs map 1:1 onto the request; same seed, same outcome.
-        """
-        warnings.warn(
-            "RoadsSystem.execute_query is deprecated; use "
-            "RoadsSystem.search(SearchRequest(...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.search(
-            SearchRequest(
-                query,
-                client_node=client_node,
-                scope=scope,
-                start_server=start_server,
-                first_k=first_k,
-                use_overlay=use_overlay,
-                collect_records=collect_records,
-                trace=trace,
-            )
-        ).outcome
-
-    def widening_search(
-        self,
-        query: Query,
-        client_node: int,
-        *,
-        min_matches: int = 1,
-        collect_records: bool = False,
-    ) -> List[QueryOutcome]:
-        """Deprecated: use :meth:`widening` with a :class:`SearchRequest`."""
-        warnings.warn(
-            "RoadsSystem.widening_search is deprecated; use "
-            "RoadsSystem.widening(SearchRequest(...), min_matches=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        results = self.widening(
-            SearchRequest(
-                query,
-                client_node=client_node,
-                collect_records=collect_records,
-            ),
-            min_matches=min_matches,
-        )
-        return [r.outcome for r in results]
-
-    def execute_queries(
-        self,
-        queries: Sequence[Query],
-        *,
-        client_nodes: Optional[Sequence[int]] = None,
-        collect_records: bool = False,
-        use_overlay: bool = True,
-    ) -> List[QueryOutcome]:
-        """Deprecated: use :meth:`search_many` with :class:`SearchRequest`\\ s."""
-        warnings.warn(
-            "RoadsSystem.execute_queries is deprecated; use "
-            "RoadsSystem.search_many([SearchRequest(...), ...])",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        requests = [
-            SearchRequest(
-                q,
-                client_node=(
-                    int(client_nodes[i]) if client_nodes is not None else None
-                ),
-                collect_records=collect_records,
-                use_overlay=use_overlay,
-            )
-            for i, q in enumerate(queries)
-        ]
-        return [r.outcome for r in self.search_many(requests)]
 
     # -- maintenance ----------------------------------------------------------------
     def enable_maintenance(

@@ -1,36 +1,30 @@
-"""The event-driven summary update plane.
+"""The summary update plane: one protocol, driven over the network.
 
-Historically one call to :meth:`RoadsSystem.refresh` ran bottom-up
-aggregation and overlay replication as synchronous in-place passes over
-the whole hierarchy: correct byte accounting, but no summary ever
-actually crossed the simulated network — a lost update could not make a
-summary stale, so the paper's soft-state/TTL story was untestable.
+Every server is a protocol actor. Each epoch (the paper's t_s) it drops
+soft state past its TTL, reports its branch summary to its parent
+(:class:`~repro.hierarchy.aggregation.SummaryExporter`) and pushes its
+summaries to its overlay holders
+(:class:`~repro.overlay.replication.ReplicaPusher`); guest owners
+re-export their summary to their attachment point. Updates travel
+through :meth:`~repro.net.transport.Network.send` as distinct
+``summary-full`` / ``summary-keepalive`` message kinds and are installed
+at delivery time (:meth:`SummaryUpdate.install`). A lost full send
+leaves the receiver rejecting the sender's keep-alives until the held
+content ages past its TTL — genuine observable staleness — and the
+sender's periodic forced full (``refresh_after``) heals it.
 
-:class:`UpdatePlane` moves both passes onto the message fabric. Every
-server is a protocol actor: it periodically exports its branch summary
-to its parent and pushes its summaries to its overlay holders through
-:meth:`~repro.net.transport.Network.send`, as distinct ``summary-full``
-/ ``summary-keepalive`` message kinds. Installation happens at delivery
-time at the receiver (:meth:`SummaryUpdate.install`); a lost full send
-leaves the receiver silently rejecting the sender's keep-alives until
-the held content ages past its TTL — genuine observable staleness — and
-the sender's periodic forced full (``refresh_after``) heals it.
-
-Two driving modes:
+Three entry points share one per-server epoch step:
 
 * :meth:`run_epoch` — one coordinated epoch, drained to quiescence:
-  exports are staggered deepest-first so each parent hears all its
-  children before it reports upward, making a loss-free epoch
-  byte-for-byte identical to the old synchronous rounds (figures and
-  committed benchmark baselines still reproduce).
+  guest owners export first, then servers step deepest level first, so
+  each parent hears all its children before it reports upward.
 * :meth:`start` — free-running per-server periodic ticks with jitter,
   for experiments that measure propagation lag and staleness under
   message loss.
-
-:meth:`measure_epoch` answers "what would one epoch cost?" without
-perturbing any protocol state (summaries, delta fingerprints, owner
-exports are snapshot and restored) — the observer effect that used to
-make ``update_bytes_per_epoch()`` change subsequent epochs is gone.
+* :meth:`measure_epoch` — the cost of the next coordinated epoch: the
+  same steps in the same order with each update installed at once
+  instead of sent, against a snapshot of the protocol state that is
+  restored afterwards.
 """
 
 from __future__ import annotations
@@ -44,7 +38,6 @@ from ..hierarchy.aggregation import (
     AggregationReport,
     SummaryExporter,
     SummaryUpdate,
-    aggregate_round,
     build_owner_export,
     install_batch,
 )
@@ -307,9 +300,30 @@ class UpdatePlane:
             c.ignored += 1
 
     # -- per-server protocol steps -------------------------------------------------
-    def _export_guest_owners(self, server: Server) -> None:
+    def _send_pushes(self, src: int, pushes: List[tuple]) -> None:
+        """Send one server's replica fan-out as one batch.
+
+        Per-message accounting (loss draws in push order, traces) matches
+        one send per push, but same-(holder, kind) messages share a
+        delivery event and install as one group.
+        """
+        tel = self.telemetry
+        requests = [
+            (
+                holder_id, size, update,
+                SUMMARY_KEEPALIVE if update.summary is None else SUMMARY_FULL,
+                tel.new_trace() if tel is not None else None,
+            )
+            for holder_id, update, size in pushes
+        ]
+        self._inflight += len(requests)
+        self.network.send_many(
+            src, requests, UPDATE,
+            phase="replicate", on_dropped=self._on_dropped,
+        )
+
+    def _export_guest_owners(self, server: Server, now: float, send) -> None:
         """Guest owners re-export their summary to their attachment point."""
-        now = self.sim.now
         for owner in server.owners:
             if owner.controls_server:
                 continue
@@ -317,16 +331,14 @@ class UpdatePlane:
             self.counters.export_bytes += size
             self.counters.export_messages += 1
             src = owner.node_id if owner.node_id is not None else server.server_id
-            self._send_update(src, server.server_id, update, size, "export")
+            send(src, server.server_id, update, size, "export")
 
-    def _export_to_parent(self, server: Server, *, force_full: bool = False) -> None:
+    def _export_to_parent(self, server: Server, now: float, send) -> None:
         prof = self._profiler
         if prof is not None:
             prof.enter("update.aggregate")
         try:
-            built = self._exporter(server).build_update(
-                self.sim.now, force_full=force_full
-            )
+            built = self._exporter(server).build_update(now)
             if built is not None:
                 update, size = built
                 c = self.counters
@@ -336,7 +348,7 @@ class UpdatePlane:
                     c.keepalive_reports += 1
                 elif update.summary is not None:
                     c.full_reports += 1
-                self._send_update(
+                send(
                     server.server_id, server.parent.server_id,
                     update, size, "aggregate",
                 )
@@ -344,45 +356,39 @@ class UpdatePlane:
             if prof is not None:
                 prof.exit()
 
-    def _push_replicas(self, server: Server, *, force_full: bool = False) -> None:
+    def _push_replicas(self, server: Server, now: float, send_many) -> None:
         prof = self._profiler
         if prof is not None:
             prof.enter("update.replicate")
         try:
-            pushes = self._pusher(server).build_updates(
-                self.sim.now, force_full=force_full
-            )
+            pushes = self._pusher(server).build_updates(now)
             if not pushes:
                 return
-            # The whole replica fan-out of this server's tick goes out as
-            # one batch: per-message accounting (loss draws in push
-            # order, counters, traces) matches the historical one-send-
-            # per-push loop exactly, but same-(holder, kind) messages
-            # share a delivery event and install as one group.
             c = self.counters
-            tel = self.telemetry
-            requests = []
-            for holder_id, update, size in pushes:
+            for _, update, size in pushes:
                 c.replication_bytes += size
                 c.replication_messages += 1
                 if update.summary is None:
                     c.keepalive_sends += 1
-                    kind = SUMMARY_KEEPALIVE
                 else:
                     c.full_sends += 1
-                    kind = SUMMARY_FULL
-                ctx = tel.new_trace() if tel is not None else None
-                requests.append((holder_id, size, update, kind, ctx))
-            self._inflight += len(requests)
-            self.network.send_many(
-                server.server_id, requests, UPDATE,
-                phase="replicate", on_dropped=self._on_dropped,
-            )
+            send_many(server.server_id, pushes)
         finally:
             if prof is not None:
                 prof.exit()
 
-    # -- coordinated epochs (refresh() compatibility) ------------------------------
+    def _epoch_step(self, server: Server, now: float, send, send_many) -> None:
+        """One server's epoch: expire, report to the parent, push replicas.
+
+        *send* and *send_many* carry the built updates: the network in a
+        real epoch, an immediate install in :meth:`measure_epoch`.
+        """
+        self.counters.expired += server.expire_stale_summaries(now)
+        if server.parent is not None:
+            self._export_to_parent(server, now, send)
+        self._push_replicas(server, now, send_many)
+
+    # -- coordinated epochs ----------------------------------------------------------
     def _schedule(self, delay: float, fn) -> None:
         """Schedule an epoch step, tracked by the in-flight counter."""
         self._inflight += 1
@@ -419,41 +425,57 @@ class UpdatePlane:
                         worst = lat
         return (worst + net.processing_delay) * 1.001 + 1e-9
 
-    def trigger_epoch(self) -> None:
-        """Schedule one coordinated epoch: deepest servers export first.
+    def _epoch_slots(self) -> Dict[int, float]:
+        """Each live server's step delay within one coordinated epoch.
 
-        Guest owners export at slot zero; a server at depth ``d``
-        exports (and pushes its replicas) at slot ``max_depth - d + 1``,
-        so its children's reports — and therefore exactly the branch
-        summary the old synchronous post-order pass would have built —
-        have arrived by the time it runs.
+        Guest owners export at slot zero; a server at depth ``d`` steps
+        at slot ``max_depth - d + 1``, so its children's reports have
+        arrived by the time it builds its own branch summary.
         """
         stagger = self._cascade_stagger()
-        max_depth = 0
-        for server in self.hierarchy:
-            if server.alive and server.depth > max_depth:
-                max_depth = server.depth
+        live = [s for s in self.hierarchy if s.alive]
+        max_depth = max((s.depth for s in live), default=0)
+        return {
+            s.server_id: (max_depth - s.depth + 1) * stagger for s in live
+        }
+
+    def trigger_epoch(self) -> None:
+        """Schedule one coordinated epoch: deepest servers step first."""
+        slots = self._epoch_slots()
         for server in list(self.hierarchy):
             if any(not o.controls_server for o in server.owners):
-                self._schedule(
-                    0.0, lambda s=server: self._export_guest_owners(s)
-                )
-            if not server.alive:
-                continue
-            slot = (max_depth - server.depth + 1) * stagger
-
-            def act(s: Server = server) -> None:
-                self.counters.expired += s.expire_stale_summaries(self.sim.now)
-                if s.parent is not None:
-                    self._export_to_parent(s)
-                self._push_replicas(s)
-
-            self._schedule(slot, act)
+                self._schedule(0.0, lambda s=server: self._export_guest_owners(
+                    s, self.sim.now, self._send_update
+                ))
+            slot = slots.get(server.server_id)
+            if slot is not None:
+                self._schedule(slot, lambda s=server: self._epoch_step(
+                    s, self.sim.now, self._send_update, self._send_pushes
+                ))
 
     def drain(self) -> None:
         """Step the simulator until every epoch step and message resolves."""
         while self._inflight > 0 and self.sim.step():
             pass
+
+    def _report_since(self, before: PlaneCounters) -> UpdateRoundReport:
+        """Byte accounting of everything sent since the *before* snapshot."""
+        c, b = self.counters, before
+        return UpdateRoundReport(
+            aggregation=AggregationReport(
+                export_bytes=c.export_bytes - b.export_bytes,
+                aggregation_bytes=c.aggregation_bytes - b.aggregation_bytes,
+                messages=c.aggregation_messages - b.aggregation_messages,
+                full_reports=c.full_reports - b.full_reports,
+                keepalive_reports=c.keepalive_reports - b.keepalive_reports,
+            ),
+            replication=ReplicationReport(
+                replication_bytes=c.replication_bytes - b.replication_bytes,
+                messages=c.replication_messages - b.replication_messages,
+                full_sends=c.full_sends - b.full_sends,
+                keepalive_sends=c.keepalive_sends - b.keepalive_sends,
+            ),
+        )
 
     def run_epoch(self) -> UpdateRoundReport:
         """One epoch, drained to quiescence; returns its byte accounting."""
@@ -462,23 +484,11 @@ class UpdatePlane:
         self.trigger_epoch()
         self.drain()
         self.epochs += 1
-        c = self.counters
-        agg = AggregationReport(
-            export_bytes=c.export_bytes - before.export_bytes,
-            aggregation_bytes=c.aggregation_bytes - before.aggregation_bytes,
-            messages=c.aggregation_messages - before.aggregation_messages,
-            full_reports=c.full_reports - before.full_reports,
-            keepalive_reports=c.keepalive_reports - before.keepalive_reports,
-        )
-        rep = ReplicationReport(
-            replication_bytes=c.replication_bytes - before.replication_bytes,
-            messages=c.replication_messages - before.replication_messages,
-            full_sends=c.full_sends - before.full_sends,
-            keepalive_sends=c.keepalive_sends - before.keepalive_sends,
-        )
+        report = self._report_since(before)
         tel = self.telemetry
         if tel is not None:
             now = self.sim.now
+            agg, rep = report.aggregation, report.replication
             tel.emit_span(
                 "update.aggregate", t0, now,
                 bytes=agg.total_bytes, messages=agg.messages,
@@ -491,7 +501,7 @@ class UpdatePlane:
                 full_sends=rep.full_sends,
                 keepalive_sends=rep.keepalive_sends, delta=self.delta,
             )
-        return UpdateRoundReport(aggregation=agg, replication=rep)
+        return report
 
     # -- free-running mode ---------------------------------------------------------
     def start(self, *, jitter: float = 0.05) -> None:
@@ -532,11 +542,9 @@ class UpdatePlane:
         if not server.alive:
             return
         self.ticks += 1
-        self.counters.expired += server.expire_stale_summaries(self.sim.now)
-        self._export_guest_owners(server)
-        if server.parent is not None:
-            self._export_to_parent(server)
-        self._push_replicas(server)
+        now = self.sim.now
+        self._export_guest_owners(server, now, self._send_update)
+        self._epoch_step(server, now, self._send_update, self._send_pushes)
 
     # -- maintenance hooks -----------------------------------------------------------
     def on_rejoin(self, server: Server) -> None:
@@ -550,7 +558,9 @@ class UpdatePlane:
         self._exporter(server).forget_parent()
         if server.parent is not None and server.alive:
             self._schedule(0.0, lambda: (
-                self._export_to_parent(server)
+                self._export_to_parent(
+                    server, self.sim.now, self._send_update
+                )
                 if server.parent is not None and server.alive
                 else None
             ))
@@ -576,21 +586,21 @@ class UpdatePlane:
 
     # -- measurement -----------------------------------------------------------------
     def measure_epoch(self) -> UpdateRoundReport:
-        """Cost of one epoch *without* running one.
+        """Cost of the next coordinated epoch *without* running one.
 
-        Runs the legacy synchronous rounds — whose byte model a drained
-        loss-free epoch matches exactly — against a snapshot of all
-        protocol soft state, then restores it: summaries, delta
-        fingerprints and owner exports are untouched, no messages are
-        sent, and the virtual clock does not advance.
-
-        The legacy model has no anti-entropy: when more than
-        ``refresh_after`` has passed since a sender's last full send, a
-        real epoch forces a full re-send where this measurement counts a
-        keep-alive. Within one ``refresh_after`` of the previous epoch
-        (the steady state every figure runs in) the two agree exactly.
+        Runs :meth:`run_epoch`'s own steps in its order — guest exports,
+        then each live server's epoch step deepest level first at its
+        slot time — but installs every update at once instead of sending
+        it. All state the steps touch is snapshot and restored: soft-state
+        tables, owner exports, the exporters' and pushers' delta state
+        and :attr:`counters`. No message is sent, the virtual clock does
+        not advance, and telemetry and the profiler record nothing, so a
+        loss-free :meth:`run_epoch` from the same state sends exactly the
+        measured bytes.
         """
-        now = self.sim.now
+        t0 = self.sim.now
+        servers = list(self.hierarchy)
+        slots = self._epoch_slots()
         saved = [
             (
                 server,
@@ -600,14 +610,40 @@ class UpdatePlane:
                 server.last_reported_fingerprint,
                 [(o, o.summary) for o in server.owners],
             )
-            for server in self.hierarchy
+            for server in servers
         ]
         saved_fp = dict(self.overlay._last_fp)
+        exporters = {
+            sid: (ex, ex._last_parent, ex._last_full_at)
+            for sid, ex in self._exporters.items()
+        }
+        pushers = {
+            sid: (pu, dict(pu._last_full_at))
+            for sid, pu in self._pushers.items()
+        }
+        counters = replace(self.counters)
+        profiler, self._profiler = self._profiler, None
+        get = self.hierarchy.get
+
+        def install(src, dst, update, size, phase) -> None:
+            update.install(get(dst), t0)
+
+        def install_many(src, pushes) -> None:
+            for holder_id, update, _ in pushes:
+                update.install(get(holder_id), t0)
+
         try:
-            agg = aggregate_round(
-                self.hierarchy, self.config, now, None, delta=self.delta
-            )
-            rep = self.overlay.replicate_round(now, None, delta=self.delta)
+            for server in servers:
+                self._export_guest_owners(server, t0, install)
+            for server in sorted(
+                (s for s in servers if s.server_id in slots),
+                key=lambda s: slots[s.server_id],
+            ):
+                self._epoch_step(
+                    server, t0 + slots[server.server_id],
+                    install, install_many,
+                )
+            return self._report_since(counters)
         finally:
             for server, child, rep_t, rep_local, fp, owners in saved:
                 server.child_summaries = child
@@ -617,7 +653,14 @@ class UpdatePlane:
                 for owner, summary in owners:
                     owner.summary = summary
             self.overlay._last_fp = saved_fp
-        return UpdateRoundReport(aggregation=agg, replication=rep)
+            for ex, parent, full_at in exporters.values():
+                ex._last_parent, ex._last_full_at = parent, full_at
+            for pu, full_at in pushers.values():
+                pu._last_full_at = full_at
+            self._exporters = {sid: v[0] for sid, v in exporters.items()}
+            self._pushers = {sid: v[0] for sid, v in pushers.items()}
+            vars(self.counters).update(vars(counters))
+            self._profiler = profiler
 
     def staleness_snapshot(
         self, *, stale_after: Optional[float] = None

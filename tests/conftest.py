@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.net import DelaySpace, Network
+from repro.overlay import ReplicationOverlay
 from repro.records import RecordStore, Schema, categorical, numeric
 from repro.roads import RoadsConfig, RoadsSystem
+from repro.roads.update_plane import UpdatePlane
+from repro.sim import MetricsCollector, Simulator
 from repro.summaries import SummaryConfig
 from repro.workload import WorkloadConfig, generate_node_stores, generate_queries
 
@@ -74,3 +78,26 @@ def small_roads(small_workload):
 def small_queries(small_workload):
     wcfg, _ = small_workload
     return generate_queries(wcfg, num_queries=30)
+
+
+@pytest.fixture
+def make_plane():
+    """Factory: an :class:`UpdatePlane` over a hand-built hierarchy.
+
+    ``make_plane(hierarchy, config, metrics=None, **plane_kwargs)``
+    wires a fresh simulator and a seeded delay space covering every
+    server id, so tests that assemble servers directly can run real
+    epochs (``run_epoch()``) or free-running actors (``start()``).
+    """
+
+    def make(hierarchy, config, *, metrics=None, **plane_kwargs):
+        sim = Simulator()
+        nodes = max(s.server_id for s in hierarchy) + 1
+        network = Network(
+            sim, DelaySpace(nodes, np.random.default_rng(0)),
+            metrics if metrics is not None else MetricsCollector(),
+        )
+        overlay = ReplicationOverlay(hierarchy, config)
+        return UpdatePlane(sim, network, hierarchy, overlay, **plane_kwargs)
+
+    return make

@@ -4,12 +4,7 @@ less-travelled branches."""
 import numpy as np
 import pytest
 
-from repro.hierarchy import (
-    AttachedOwner,
-    Server,
-    aggregate_round,
-    build_hierarchy,
-)
+from repro.hierarchy import AttachedOwner, Server, build_hierarchy
 from repro.net import DelaySpace, Network
 from repro.overlay import decide_local
 from repro.query import Query, RangePredicate
@@ -78,30 +73,15 @@ class TestDecideLocal:
 
 
 class TestAggregationEdges:
-    def test_refresh_exports_false_skips_export_bytes(self):
-        schema = Schema([numeric("a")])
-        h = build_hierarchy(Server(i, max_children=2) for i in range(3))
-        guest_store = RecordStore.from_arrays(
-            schema, np.random.default_rng(0).random((5, 1)), []
-        )
-        h.get(1).attach_owner(
-            AttachedOwner("g", guest_store, controls_server=False)
-        )
-        cfg = SummaryConfig(histogram_buckets=8)
-        # First round creates the export.
-        aggregate_round(h, cfg)
-        report = aggregate_round(h, cfg, refresh_exports=False)
-        assert report.export_bytes == 0
-        # The stale summary is still used for aggregation.
-        assert report.aggregation_bytes > 0
-
-    def test_empty_federation_aggregates_nothing(self):
+    def test_empty_federation_aggregates_nothing(self, make_plane):
         h = build_hierarchy(Server(i, max_children=2) for i in range(4))
         cfg = SummaryConfig(histogram_buckets=8)
-        report = aggregate_round(h, cfg)
+        plane = make_plane(h, cfg)
+        report = plane.run_epoch()
         # Messages flow (soft-state headers) but no summaries exist.
-        assert report.messages == 3
-        assert h.root.branch_summary(cfg) is None
+        assert report.aggregation.messages == 3
+        assert report.replication.messages == 0
+        assert h.root.branch_summary(cfg, plane.sim.now) is None
 
 
 class TestStoreEdges:

@@ -1,12 +1,9 @@
-"""RunPlan façade, legacy shims, and the parallel sweep runner.
+"""RunPlan façade and the parallel sweep runner.
 
 Covers the canonical-run-API contract: a frozen :class:`RunPlan` is the
-one way to describe a run, the legacy positional signatures warn but
-produce byte-identical artifacts, and fanning a sweep across a process
-pool changes nothing but wall-clock rows.
+one way to describe a run, and fanning a sweep across a process pool
+changes nothing but wall-clock rows.
 """
-
-import warnings
 
 import pytest
 
@@ -15,9 +12,7 @@ from repro.bench import (
     SWEEP_SCHEMA,
     comparable_dict,
     merge_artifacts,
-    profile_scenario,
     run_plans,
-    run_scenario,
     seed_sweep,
     stress_shard_rows,
 )
@@ -60,36 +55,6 @@ class TestRunPlan:
         sweeps = plan.resolved_sweeps()
         assert sweeps["dims"] == (4,)
         assert sweeps["workers"] == 3
-
-
-class TestLegacyShims:
-    def test_legacy_run_scenario_warns_and_matches(self):
-        canonical = run_scenario(
-            RunPlan("fig8", scale="smoke", seed=2, profile=False)
-        )
-        with pytest.warns(DeprecationWarning):
-            legacy = run_scenario("fig8", "smoke", 2, profile=False)
-        assert comparable_dict(canonical) == comparable_dict(legacy)
-
-    def test_legacy_profile_scenario_warns(self):
-        with pytest.warns(DeprecationWarning):
-            doc = profile_scenario("fig8", "smoke", 2)
-        assert "census_fingerprint" in doc
-
-    def test_plan_plus_legacy_args_rejected(self):
-        with pytest.raises(TypeError):
-            run_scenario(RunPlan("overlay", scale="smoke"), "smoke")
-        with pytest.raises(TypeError):
-            profile_scenario(RunPlan("overlay", scale="smoke"), seed=4)
-
-    def test_non_plan_non_name_rejected(self):
-        with pytest.raises(TypeError):
-            run_scenario(42)
-
-    def test_canonical_call_is_warning_free(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            run_scenario(RunPlan("fig8", scale="smoke", seed=2, profile=False))
 
 
 class TestParallelRunner:

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.hierarchy import (
-    AttachedOwner,
-    Server,
-    aggregate_round,
-    build_hierarchy,
-)
+from repro.hierarchy import AttachedOwner, Server, build_hierarchy
 from repro.overlay import (
     ReplicationOverlay,
     coverage_ids,
@@ -27,15 +22,24 @@ def schema():
 
 
 @pytest.fixture
-def hierarchy(schema):
-    """21 servers, degree 4 -> 3 levels; every server owns 5 records."""
+def plane(schema, make_plane):
+    """21 servers, degree 4 -> 3 levels; every server owns 5 records.
+
+    One epoch has run, so every replica table is populated.
+    """
     h = build_hierarchy(Server(i, max_children=4) for i in range(21))
     rng = np.random.default_rng(0)
     for i in range(21):
         st = RecordStore.from_arrays(schema, rng.random((5, 2)), [])
         h.get(i).attach_owner(AttachedOwner(f"o{i}", st, True))
-    aggregate_round(h, CFG)
-    return h
+    plane = make_plane(h, CFG, metrics=MetricsCollector())
+    plane.run_epoch()
+    return plane
+
+
+@pytest.fixture
+def hierarchy(plane):
+    return plane.hierarchy
 
 
 class TestReplicationSources:
@@ -77,15 +81,11 @@ class TestCoverage:
 
 class TestReplicateRound:
     def test_replicas_installed(self, hierarchy):
-        overlay = ReplicationOverlay(hierarchy, CFG)
-        overlay.replicate_round()
         for server in hierarchy:
             expected = {s.server_id for s in replication_sources(server)}
             assert set(server.replicated_summaries) == expected
 
     def test_replica_contents_match_branch_summaries(self, hierarchy):
-        overlay = ReplicationOverlay(hierarchy, CFG)
-        overlay.replicate_round()
         some_leaf = hierarchy.leaves()[0]
         for src_id, summary in some_leaf.replicated_summaries.items():
             src = hierarchy.get(src_id)
@@ -94,23 +94,21 @@ class TestReplicateRound:
                 == 5 * src.subtree_size()
             )
 
-    def test_bytes_and_messages_accounted(self, hierarchy):
-        overlay = ReplicationOverlay(hierarchy, CFG)
-        metrics = MetricsCollector()
-        report = overlay.replicate_round(metrics=metrics)
+    def test_bytes_and_messages_accounted(self, plane):
+        metrics = plane.network.metrics
+        before = metrics.bytes(UPDATE)
+        report = plane.run_epoch()
         # one message per replicated branch summary, plus one per
         # ancestor local-owner summary (every server here has owners)
         expected = sum(
             len(replication_sources(s)) + len(s.ancestors())
-            for s in hierarchy
+            for s in plane.hierarchy
         )
-        assert report.messages == expected
-        assert metrics.bytes(UPDATE) == report.replication_bytes
-        assert report.replication_bytes > 0
+        assert report.replication.messages == expected
+        assert metrics.bytes(UPDATE) - before == report.total_bytes
+        assert report.replication.replication_bytes > 0
 
     def test_ancestor_local_summaries_installed(self, hierarchy):
-        overlay = ReplicationOverlay(hierarchy, CFG)
-        overlay.replicate_round()
         leaf = hierarchy.leaves()[0]
         assert set(leaf.replicated_local_summaries) == {
             a.server_id for a in leaf.ancestors()
@@ -119,14 +117,17 @@ class TestReplicateRound:
         for aid, summ in leaf.replicated_local_summaries.items():
             assert summ.attributes["a"].total == 5
 
-    def test_round_replaces_previous_state(self, hierarchy):
-        overlay = ReplicationOverlay(hierarchy, CFG)
-        leaf = hierarchy.leaves()[0]
+    def test_round_replaces_previous_state(self, plane):
+        # A replica no source refreshes ages out at its TTL.
+        leaf = plane.hierarchy.leaves()[0]
         leaf.replicated_summaries[999] = next(
-            iter(hierarchy.root.child_summaries.values())
+            iter(plane.hierarchy.root.child_summaries.values())
         )
-        overlay.replicate_round()
+        plane.sim.run(until=plane.sim.now + CFG.ttl + 1.0)
+        plane.run_epoch()
         assert 999 not in leaf.replicated_summaries
+        expected = {s.server_id for s in replication_sources(leaf)}
+        assert set(leaf.replicated_summaries) == expected
 
     def test_per_node_message_counts(self, hierarchy):
         overlay = ReplicationOverlay(hierarchy, CFG)

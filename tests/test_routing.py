@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.hierarchy import (
-    AttachedOwner,
-    Server,
-    aggregate_round,
-    build_hierarchy,
-)
+from repro.hierarchy import AttachedOwner, Server, build_hierarchy
 from repro.overlay import (
-    ReplicationOverlay,
     decide_descent,
     decide_start,
     scope_candidates,
@@ -28,7 +22,7 @@ def schema():
 
 
 @pytest.fixture
-def hierarchy(schema):
+def hierarchy(schema, make_plane):
     """Degree-2, 7 servers; each leaf/branch owns a disjoint value band.
 
     Server i's records live in [i/10, i/10 + 0.05], so queries can be
@@ -40,8 +34,7 @@ def hierarchy(schema):
         vals = (i / 10.0 + rng.random((20, 1)) * 0.05).clip(0, 1)
         st = RecordStore.from_arrays(schema, vals, [])
         h.get(i).attach_owner(AttachedOwner(f"o{i}", st, True))
-    aggregate_round(h, CFG)
-    ReplicationOverlay(h, CFG).replicate_round()
+    make_plane(h, CFG).run_epoch()
     return h
 
 

@@ -52,7 +52,7 @@ class TestScopedQueries:
         full = system.search(SearchRequest(q, client_node=3)).outcome
         assert scoped.total_matches == full.total_matches
 
-    def test_widening_search_monotone(self, system_and_workload):
+    def test_widening_monotone(self, system_and_workload):
         wcfg, stores, system = system_and_workload
         q = generate_queries(wcfg, num_queries=1, dimensions=2)[0]
         leaf = max(system.hierarchy, key=lambda s: s.depth)
@@ -68,7 +68,7 @@ class TestScopedQueries:
         reference = merge_stores(stores)
         assert counts[-1] == q.match_count(reference)
 
-    def test_widening_search_stops_early(self, system_and_workload):
+    def test_widening_stops_early(self, system_and_workload):
         wcfg, stores, system = system_and_workload
         q = generate_queries(wcfg, num_queries=1, dimensions=2)[0]
         leaf = max(system.hierarchy, key=lambda s: s.depth)

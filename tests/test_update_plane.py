@@ -4,9 +4,10 @@ Summaries now travel as real simulated messages (``summary-full`` /
 ``summary-keepalive`` kinds) installed at delivery time; these tests pin
 down the properties that matter:
 
-* a drained loss-free epoch costs byte-for-byte what the legacy
-  synchronous rounds modelled (figures keep reproducing);
-* measuring an epoch's cost does not perturb delta state (the old
+* a drained loss-free epoch costs byte-for-byte what
+  ``measure_epoch`` predicts, in both delta modes and past
+  ``refresh_after``;
+* measuring an epoch's cost does not perturb protocol state (no
   ``update_bytes_per_epoch`` observer effect);
 * a lost full update leaves genuinely stale soft state: keep-alives are
   rejected, queries quietly miss the unreachable content, the entry
@@ -70,22 +71,38 @@ def lossless(network):
 
 
 class TestEpochParity:
-    """A drained epoch reproduces the legacy synchronous byte model."""
+    """A drained loss-free epoch sends exactly the measured bytes."""
 
     @pytest.mark.parametrize("delta", [False, True])
     def test_epoch_matches_measured_cost(self, delta):
-        _, _, system = build(delta=delta)
-        measured = system.update_plane.measure_epoch()
-        epoch = system.refresh()
-        assert epoch.total_bytes == measured.total_bytes
-        assert epoch.total_messages == measured.total_messages
-        assert (
-            epoch.aggregation.full_reports
-            == measured.aggregation.full_reports
-        )
-        assert (
-            epoch.replication.full_sends == measured.replication.full_sends
-        )
+        # Idle seconds after each epoch began, the build's epoch at t=0
+        # first: none; a keep-alive epoch at 200 s, then 150 s more —
+        # past refresh_after (= ttl) since the last full send; and 1 ms
+        # past refresh_after. Past it, the next epoch forces full
+        # re-sends even under delta updates.
+        for gaps in ((0.0,), (200.0, 150.0), (300.001,)):
+            _, _, system = build(delta=delta, ttl=300.0)
+            began = 0.0
+            for i, gap in enumerate(gaps):
+                if i:
+                    began = system.sim.now
+                    system.refresh()
+                system.sim.run(until=max(system.sim.now, began + gap))
+            measured = system.update_plane.measure_epoch()
+            epoch = system.refresh()
+            assert epoch.total_bytes == measured.total_bytes
+            assert epoch.total_messages == measured.total_messages
+            assert (
+                epoch.aggregation.full_reports
+                == measured.aggregation.full_reports
+            )
+            assert (
+                epoch.replication.full_sends
+                == measured.replication.full_sends
+            )
+            if sum(gaps) > 300.0:
+                assert epoch.aggregation.keepalive_reports == 0
+                assert epoch.replication.keepalive_sends == 0
 
     def test_epoch_parity_with_guests(self):
         wcfg = WorkloadConfig(num_nodes=N, records_per_node=RECORDS, seed=3)
@@ -164,12 +181,57 @@ class TestMeasurementDoesNotPerturb:
         assert report.total_bytes == measured
 
     def test_measure_preserves_soft_state_tables(self):
-        _, _, system = build()
-        system.refresh()
-        root = system.hierarchy.root
-        before = dict(root.child_summaries)
-        system.update_plane.measure_epoch()
-        assert root.child_summaries == before
+        """Past refresh_after the measured epoch rewrites every table and
+        every sender's delta state and counts its bytes; all of it is
+        put back, and nothing reaches telemetry or the profiler."""
+        from repro.telemetry import Telemetry
+        from repro.telemetry.profiling import CallPathProfiler
+
+        tel = Telemetry()
+        tel.attach_profiler(CallPathProfiler())
+        wcfg = WorkloadConfig(num_nodes=N, records_per_node=RECORDS, seed=21)
+        system = RoadsSystem.build(
+            RoadsConfig(
+                num_nodes=N, records_per_node=RECORDS, max_children=3,
+                summary=SummaryConfig(histogram_buckets=BUCKETS, ttl=300.0),
+                delta_updates=True, seed=21,
+            ),
+            generate_node_stores(wcfg),
+            telemetry=tel,
+        )
+        system.sim.run(until=system.sim.now + 350.0)
+        plane = system.update_plane
+
+        def state():
+            return (
+                [
+                    (
+                        dict(s.child_summaries),
+                        dict(s.replicated_summaries),
+                        dict(s.replicated_local_summaries),
+                        s.last_reported_fingerprint,
+                        [o.summary for o in s.owners],
+                    )
+                    for s in system.hierarchy
+                ],
+                dict(system.overlay._last_fp),
+                {
+                    sid: (ex._last_parent, ex._last_full_at)
+                    for sid, ex in plane._exporters.items()
+                },
+                {
+                    sid: dict(pu._last_full_at)
+                    for sid, pu in plane._pushers.items()
+                },
+                vars(plane.counters).copy(),
+                system.sim.now,
+                tel.bus.emitted,
+                tel.profiler.document()["tree"],
+            )
+
+        before = state()
+        assert plane.measure_epoch().aggregation.full_reports > 0
+        assert state() == before
 
 
 def empty_bucket_value(store, merged, buckets=BUCKETS):
