@@ -79,21 +79,12 @@ class QueryOutcome:
     #: the CLI locate each round's subtree through this id
     root_span_id: int = 0
 
-    @property
-    def trace(self) -> List[TraceEvent]:
-        """Back-compat view of :attr:`trace_events`.
-
-        Each entry unpacks and indexes like the historical
-        ``(sim time, event, subject, detail)`` tuple.
-        """
-        return self.trace_events
-
     def format_trace(self) -> str:
         """Human-readable rendering of the event trace."""
         lines = []
-        for t, event, subject, detail in self.trace_events:
-            rel = (t - self.started_at) * 1000
-            lines.append(f"{rel:8.1f} ms  {event:<9} {subject} {detail}")
+        for e in self.trace_events:
+            rel = (e.time - self.started_at) * 1000
+            lines.append(f"{rel:8.1f} ms  {e.event:<9} {e.subject} {e.detail}")
         return "\n".join(lines)
 
     @property

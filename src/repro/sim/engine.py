@@ -5,53 +5,39 @@ triples dispatched in strict ``(time, seq)`` order so runs are
 reproducible. Nodes in the network layers are reactive actors whose
 handlers schedule further events.
 
-Dispatch is backed by two structures with identical ordering semantics:
-
-* a **hierarchical timing wheel** (:class:`TimingWheel`) — a sparse,
-  two-level calendar queue that absorbs the periodic planes' dense
-  near-future traffic (summary pushes, replica fan-out, message
-  deliveries) with O(1) bucket appends and one lazy sort per bucket;
-* a **binary heap** retained for aperiodic / far-future one-shot events
-  (TTL expiries, drill timers) beyond the wheel horizon.
-
-Every pop merges the wheel's next event against the heap top by
-``(time, seq)``, so the interleaving is byte-identical to the historical
-pure-heap dispatcher — ties in time still break by insertion order.
+The queue is one binary heap of ``(time, seq, event)`` tuples. ``seq``
+is unique, so the tuples compare in C on ``(time, seq)`` and no
+:class:`Event` is ever compared; ties in time break by insertion order.
+Cancelled events stay on the heap as tombstones until popped, or until
+they dominate it and one rebuild drops them. One loop in
+:meth:`Simulator.run` dispatches every event; :meth:`Simulator.step` is
+that loop with a budget of one.
 """
 
 from __future__ import annotations
 
-import bisect
-import heapq
 import itertools
-from typing import Callable, Dict, List, Optional, Tuple
+from heapq import heapify, heappop, heappush
+from typing import Callable, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
     """Raised for scheduler misuse (negative delays, running backwards)."""
 
 
-#: process-wide default for ``Simulator(use_wheel=...)``. The
-#: equivalence tripwire flips this to run entire scenarios on the pure
-#: heap dispatcher and assert the wheel changes nothing observable.
-DEFAULT_USE_WHEEL = True
-
-
 class Event:
     """Handle for a scheduled callback; supports cancellation."""
 
-    __slots__ = ("time", "seq", "fn", "cancelled", "fired", "label", "_sim", "_in_heap")
+    __slots__ = ("time", "fn", "cancelled", "fired", "label", "_sim")
 
     def __init__(
         self,
         time: float,
-        seq: int,
         fn: Callable[[], None],
         sim=None,
         label: Optional[str] = None,
     ):
         self.time = time
-        self.seq = seq
         self.fn = fn
         self.cancelled = False
         self.fired = False
@@ -59,180 +45,29 @@ class Event:
         #: schedule sites only pay for it when a profiler is attached
         self.label = label
         self._sim = sim
-        #: whether the event sits on the overflow heap (vs the wheel);
-        #: lets ``cancel`` keep the heap's tombstone ratio exact.
-        self._in_heap = False
 
     def cancel(self) -> None:
         """Cancel the event; no-op if already cancelled or fired."""
         if self.cancelled or self.fired:
             return
         self.cancelled = True
-        # Keep the owning simulator's live-event counter exact so
-        # ``Simulator.pending`` stays O(1); heap tombstones are counted
-        # so the scheduler can compact them before they dominate.
-        sim = self._sim
-        if sim is not None:
-            sim._pending -= 1
-            if self._in_heap:
-                sim._note_heap_cancel()
-
-    def __lt__(self, other: "Event") -> bool:
-        # Hot path for heap sifts, bucket sorts and bisects: avoid the
-        # tuple allocation of ``(time, seq) < (time, seq)``.
-        t = self.time
-        ot = other.time
-        return t < ot or (t == ot and self.seq < other.seq)
-
-
-class TimingWheel:
-    """Sparse two-level calendar queue with exact ``(time, seq)`` ordering.
-
-    Level 0 buckets events by ``floor(time / tick)``; level 1 by the same
-    at granularity ``tick * fanout``. Buckets are dict-sparse (empty slots
-    cost nothing) and unsorted until they become *current*, at which point
-    one Timsort puts them in ``(time, seq)`` order. Events landing in the
-    slot currently being drained are bisect-inserted past the drain
-    cursor, which preserves exact ordering for same-slot schedules made
-    from inside handlers.
-    """
-
-    __slots__ = (
-        "tick",
-        "fanout",
-        "horizon",
-        "_b0",
-        "_b1",
-        "_h0",
-        "_h1",
-        "_current",
-        "_ci",
-        "_cslot",
-        "_len",
-    )
-
-    def __init__(self, tick: float = 0.05, fanout: int = 256):
-        if tick <= 0:
-            raise SimulationError("wheel tick must be positive")
-        if fanout < 2:
-            raise SimulationError("wheel fanout must be at least 2")
-        self.tick = tick
-        self.fanout = fanout
-        #: absolute reach of the wheel from t=0 slot arithmetic; the
-        #: simulator keeps events further than this *relative* distance
-        #: on the overflow heap.
-        self.horizon = tick * fanout * fanout
-        self._b0: Dict[int, List[Event]] = {}
-        self._b1: Dict[int, List[Event]] = {}
-        self._h0: List[int] = []
-        self._h1: List[int] = []
-        self._current: List[Event] = []
-        self._ci = 0
-        self._cslot = -1
-        self._len = 0
-
-    def __len__(self) -> int:
-        return self._len
-
-    def push(self, ev: Event) -> None:
-        self._len += 1
-        s0 = int(ev.time / self.tick)
-        if s0 <= self._cslot:
-            # Event lands in the slot being drained: keep the drained
-            # prefix intact and insert into the sorted remainder.
-            bisect.insort(self._current, ev, self._ci)
-        elif s0 - self._cslot < self.fanout:
-            b = self._b0.get(s0)
-            if b is None:
-                self._b0[s0] = [ev]
-                heapq.heappush(self._h0, s0)
-            else:
-                b.append(ev)
-        else:
-            s1 = s0 // self.fanout
-            b = self._b1.get(s1)
-            if b is None:
-                self._b1[s1] = [ev]
-                heapq.heappush(self._h1, s1)
-            else:
-                b.append(ev)
-
-    def _cascade(self) -> None:
-        """Spill level-1 buckets due at or before the next level-0 bucket.
-
-        A level-1 bucket ``s1`` covers level-0 slots
-        ``[s1*fanout, (s1+1)*fanout)``; it must be redistributed before
-        any level-0 slot at or past its start is drained.
-        """
-        h0, h1 = self._h0, self._h1
-        b0, b1 = self._b0, self._b1
-        fanout = self.fanout
-        tick = self.tick
-        while h1 and (not h0 or h1[0] * fanout <= h0[0]):
-            s1 = heapq.heappop(h1)
-            for ev in b1.pop(s1):
-                s0 = int(ev.time / tick)
-                b = b0.get(s0)
-                if b is None:
-                    b0[s0] = [ev]
-                    heapq.heappush(h0, s0)
-                else:
-                    b.append(ev)
-
-    def peek(self) -> Optional[Event]:
-        """Next event in ``(time, seq)`` order, or None. Primes buckets."""
-        while self._ci >= len(self._current):
-            if self._h1:
-                self._cascade()
-            if not self._h0:
-                if self._current:
-                    self._current = []
-                    self._ci = 0
-                return None
-            slot = heapq.heappop(self._h0)
-            bucket = self._b0.pop(slot)
-            bucket.sort()
-            self._current = bucket
-            self._ci = 0
-            self._cslot = slot
-        return self._current[self._ci]
-
-    def pop(self) -> Event:
-        """Remove and return the next event (call :meth:`peek` first)."""
-        ev = self.peek()
-        if ev is None:
-            raise IndexError("pop from empty timing wheel")
-        self._ci += 1
-        self._len -= 1
-        return ev
+        if self._sim is not None:
+            self._sim._note_cancel()
 
 
 class Simulator:
-    """Wheel-and-heap discrete-event scheduler with a virtual clock."""
+    """Binary-heap discrete-event scheduler with a virtual clock."""
 
     #: minimum heap size before tombstone compaction is considered
     _COMPACT_MIN = 64
 
-    def __init__(
-        self,
-        *,
-        use_wheel: Optional[bool] = None,
-        wheel_tick: float = 0.05,
-        wheel_fanout: int = 256,
-    ):
-        if use_wheel is None:
-            use_wheel = DEFAULT_USE_WHEEL
+    def __init__(self):
         self._now = 0.0
-        #: overflow heap: aperiodic / far-future one-shots beyond the
-        #: wheel horizon (and everything, when the wheel is disabled)
-        self._queue: List[Event] = []
-        self._wheel: Optional[TimingWheel] = (
-            TimingWheel(wheel_tick, wheel_fanout) if use_wheel else None
-        )
+        self._queue: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._processed = 0
         # Live (not-yet-fired, not-cancelled) event count, maintained on
-        # schedule/cancel/fire so ``pending`` never scans the structures.
+        # schedule/cancel/fire so ``pending`` never scans the heap.
         self._pending = 0
         #: cancelled-but-unpopped events still sitting on the heap
         self._heap_cancelled = 0
@@ -242,7 +77,7 @@ class Simulator:
         #: handler invocation gets a child frame named after its event
         #: label (``sim.event`` when unlabeled), and processed events
         #: land in the ``sim.events`` counter. ``None`` (the default)
-        #: keeps the hot path free — the unprofiled loop is untouched.
+        #: keeps the hot path free of profiler calls.
         self.profiler = None
 
     @property
@@ -273,13 +108,9 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        ev = Event(self._now + delay, next(self._seq), fn, self, label)
-        wheel = self._wheel
-        if wheel is not None and delay < wheel.horizon:
-            wheel.push(ev)
-        else:
-            ev._in_heap = True
-            heapq.heappush(self._queue, ev)
+        time = self._now + delay
+        ev = Event(time, fn, self, label)
+        heappush(self._queue, (time, next(self._seq), ev))
         self._pending += 1
         return ev
 
@@ -309,135 +140,52 @@ class Simulator:
         task.start(first_delay if first_delay is not None else interval)
         return task
 
-    # -- merged wheel/heap access -------------------------------------------------
-    def _peek(self) -> Optional[Event]:
-        """Next event in global ``(time, seq)`` order without removing it."""
-        heap = self._queue
-        hev = heap[0] if heap else None
-        wheel = self._wheel
-        wev = wheel.peek() if wheel is not None else None
-        if wev is None:
-            return hev
-        if hev is None or wev < hev:
-            return wev
-        return hev
-
-    def _pop(self, ev: Event) -> None:
-        """Remove *ev*, the event just returned by :meth:`_peek`."""
-        if ev._in_heap:
-            heapq.heappop(self._queue)
-            if ev.cancelled:
-                self._heap_cancelled -= 1
-        else:
-            self._wheel.pop()
-
-    def _note_heap_cancel(self) -> None:
-        """Count a heap tombstone; compact once they dominate the heap.
+    def _note_cancel(self) -> None:
+        """Count a cancellation; compact the heap once tombstones dominate.
 
         Cancelled events stay in place until popped; under churn-heavy
         drills (mass cancellations) they would otherwise inflate memory
         and pop cost indefinitely. When more than half the heap is dead
         and the heap is non-trivial, rebuild it without tombstones —
-        heapify is O(n), amortized O(1) per cancellation.
+        heapify is O(n), amortized O(1) per cancellation. The rebuild is
+        in place so a running dispatch loop's reference stays valid.
         """
+        self._pending -= 1
         self._heap_cancelled += 1
-        n = len(self._queue)
+        queue = self._queue
+        n = len(queue)
         if n >= self._COMPACT_MIN and self._heap_cancelled * 2 > n:
-            self._queue = [ev for ev in self._queue if not ev.cancelled]
-            heapq.heapify(self._queue)
+            queue[:] = [entry for entry in queue if not entry[2].cancelled]
+            heapify(queue)
             self._heap_cancelled = 0
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Process events until the queue drains, *until*, or *max_events*.
 
-        Returns the number of events processed by this call. The clock is
-        advanced to *until* when given, even if the queue drains earlier.
+        Returns the number of events processed by this call. When *until*
+        is given and the queue drained or the next live event lies past
+        it, the clock advances to *until*; a run cut short by
+        *max_events* leaves the clock at the last fired event, so a later
+        run never moves it backwards.
         """
-        if self.profiler is not None:
-            return self._run_profiled(until, max_events)
-        processed = 0
-        while True:
-            ev = self._peek()
-            if ev is None:
-                break
-            if until is not None and ev.time > until:
-                break
-            self._pop(ev)
-            if ev.cancelled:
-                continue
-            if max_events is not None and processed >= max_events:
-                # Put the not-yet-due event back; the wheel has no
-                # re-insert, so the heap absorbs it (ordering unaffected).
-                ev._in_heap = True
-                heapq.heappush(self._queue, ev)
-                break
-            self._now = ev.time
-            ev.fired = True
-            self._pending -= 1
-            ev.fn()
-            processed += 1
-            self._processed += 1
-        if until is not None and self._now < until:
-            self._now = until
-        return processed
-
-    def _run_profiled(
-        self, until: Optional[float], max_events: Optional[int]
-    ) -> int:
-        """The :meth:`run` loop under a ``sim.dispatch`` frame.
-
-        Every handler invocation opens a child frame named after its
-        event's schedule-site label, so the dispatch loop's wall time
-        decomposes by event kind and plane in the call-path tree.
-        """
+        queue = self._queue
         prof = self.profiler
         processed = 0
-        prof.enter("sim.dispatch")
-        try:
-            while True:
-                ev = self._peek()
-                if ev is None:
-                    break
-                if until is not None and ev.time > until:
-                    break
-                self._pop(ev)
-                if ev.cancelled:
-                    continue
-                if max_events is not None and processed >= max_events:
-                    ev._in_heap = True
-                    heapq.heappush(self._queue, ev)
-                    break
-                self._now = ev.time
-                ev.fired = True
-                self._pending -= 1
-                prof.enter(ev.label or "sim.event")
-                try:
-                    ev.fn()
-                finally:
-                    prof.exit()
-                processed += 1
-                self._processed += 1
-            if until is not None and self._now < until:
-                self._now = until
-        finally:
-            prof.exit()
-            prof.count("sim.events", processed)
-        return processed
-
-    def step(self) -> bool:
-        """Process a single event; returns False when the queue is empty."""
-        prof = self.profiler
         if prof is not None:
             prof.enter("sim.dispatch")
         try:
-            while True:
-                ev = self._peek()
-                if ev is None:
-                    return False
-                self._pop(ev)
+            while queue:
+                time, _, ev = queue[0]
+                if until is not None and time > until:
+                    break
                 if ev.cancelled:
+                    heappop(queue)
+                    self._heap_cancelled -= 1
                     continue
-                self._now = ev.time
+                if max_events is not None and processed >= max_events:
+                    return processed
+                heappop(queue)
+                self._now = time
                 ev.fired = True
                 self._pending -= 1
                 if prof is None:
@@ -448,12 +196,19 @@ class Simulator:
                         ev.fn()
                     finally:
                         prof.exit()
-                        prof.count("sim.events")
+                processed += 1
                 self._processed += 1
-                return True
+            if until is not None and self._now < until:
+                self._now = until
+            return processed
         finally:
             if prof is not None:
                 prof.exit()
+                prof.count("sim.events", processed)
+
+    def step(self) -> bool:
+        """Process a single event; returns False when the queue is empty."""
+        return self.run(max_events=1) == 1
 
 
 class PeriodicTask:

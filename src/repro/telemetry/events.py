@@ -5,18 +5,15 @@ Two event shapes live here:
 * :class:`TelemetryEvent` — the bus's wire unit: a point event
   (``kind="event"``) or a closed span (``kind="span"``, with a
   duration), stamped with sim-clock times and a tag dict;
-* :class:`TraceEvent` — the structured replacement for the raw
-  ``(time, event, subject, detail)`` tuples that
-  :class:`~repro.roads.client.QueryOutcome` used to accumulate. It
-  iterates and indexes exactly like that 4-tuple, so existing
-  consumers keep working unchanged.
+* :class:`TraceEvent` — one step of a query execution, recorded in
+  :attr:`~repro.roads.client.QueryOutcome.trace_events`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List
 
 
 @dataclass
@@ -57,30 +54,12 @@ class TelemetryEvent:
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One step of a query execution, tuple-compatible.
-
-    The legacy trace format was ``(sim time, event, subject, detail)``;
-    this dataclass unpacks and indexes identically so code written
-    against the tuples (``for t, ev, subj, det in outcome.trace``) is
-    unaffected.
-    """
+    """One step of a query execution: sim time, event, subject, detail."""
 
     time: float
     event: str
     subject: str
     detail: str = ""
-
-    def as_tuple(self) -> Tuple[float, str, str, str]:
-        return (self.time, self.event, self.subject, self.detail)
-
-    def __iter__(self) -> Iterator:
-        return iter(self.as_tuple())
-
-    def __getitem__(self, index):
-        return self.as_tuple()[index]
-
-    def __len__(self) -> int:
-        return 4
 
 
 class EventBus:

@@ -17,7 +17,7 @@ the observed value, the threshold it was judged against, and a verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional
 
 #: probe sample event name on the telemetry bus
@@ -169,12 +169,13 @@ class HealthReport:
 def judge_sample(
     sample: HealthSample, slo: HealthSLO
 ) -> List[HealthCheck]:
-    """Judge one *instantaneous* sample against *slo*.
+    """Judge one sample against *slo*.
 
-    Unlike :meth:`HealthProbe.report` — which folds the worst value seen
-    across the whole sampled window and therefore never "recovers" — this
-    judges a single snapshot, which is what breach-transition detection
-    needs: a check can go ok → fail → ok again as the run unfolds.
+    Judged on each instantaneous snapshot, a check can go ok → fail → ok
+    again as the run unfolds, which is what breach-transition detection
+    needs. :meth:`HealthProbe.report` instead judges one sample folded
+    from the worst values of the whole window, so its verdict never
+    "recovers".
     """
     sent = max(1, sample.sent)
     checks = [
@@ -413,77 +414,26 @@ class HealthProbe:
 
     # -- SLO evaluation --------------------------------------------------------------
     def report(self, slo: HealthSLO = HealthSLO()) -> HealthReport:
-        """Judge the sampled window against *slo*."""
+        """Judge the sampled window against *slo*.
+
+        The window folds into one sample: the last sample's cumulative
+        counters with the worst staleness, coverage, queue depth,
+        precision and recall seen in any sample, judged by
+        :func:`judge_sample` (whose details name the last sample's time).
+        """
         if not self.samples:
             self.sample()
         samples = self.samples
         last = samples[-1]
-        sent = max(1, last.sent)
-        worst_stale = max(s.stale_fraction for s in samples)
-        worst_coverage = min(s.coverage for s in samples)
-        worst_depth = max(s.queue_depth_max for s in samples)
-        checks = [
-            HealthCheck(
-                name="staleness",
-                ok=worst_stale <= slo.max_stale_fraction,
-                value=worst_stale,
-                threshold=slo.max_stale_fraction,
-                detail="worst stale_fraction across samples",
-            ),
-            HealthCheck(
-                name="coverage",
-                ok=worst_coverage >= slo.min_coverage,
-                value=worst_coverage,
-                threshold=slo.min_coverage,
-                detail="worst replication coverage across samples",
-            ),
-            HealthCheck(
-                name="shedding",
-                ok=last.shed / sent <= slo.max_shed_fraction,
-                value=last.shed / sent,
-                threshold=slo.max_shed_fraction,
-                detail=f"{last.shed} shed of {last.sent} sent",
-            ),
-            HealthCheck(
-                name="loss",
-                ok=last.lost / sent <= slo.max_loss_fraction,
-                value=last.lost / sent,
-                threshold=slo.max_loss_fraction,
-                detail=f"{last.lost} lost of {last.sent} sent",
-            ),
-        ]
-        if slo.max_queue_depth is not None:
-            checks.append(
-                HealthCheck(
-                    name="queue_depth",
-                    ok=worst_depth <= slo.max_queue_depth,
-                    value=float(worst_depth),
-                    threshold=float(slo.max_queue_depth),
-                    detail="deepest single service queue across samples",
-                )
-            )
-        if slo.min_precision is not None:
-            worst_precision = min(s.precision for s in samples)
-            checks.append(
-                HealthCheck(
-                    name="precision",
-                    ok=worst_precision >= slo.min_precision,
-                    value=worst_precision,
-                    threshold=slo.min_precision,
-                    detail="worst oracle precision across samples",
-                )
-            )
-        if slo.min_recall is not None:
-            worst_recall = min(s.recall for s in samples)
-            checks.append(
-                HealthCheck(
-                    name="recall",
-                    ok=worst_recall >= slo.min_recall,
-                    value=worst_recall,
-                    threshold=slo.min_recall,
-                    detail="worst oracle recall across samples",
-                )
-            )
+        worst = replace(
+            last,
+            stale_fraction=max(s.stale_fraction for s in samples),
+            coverage=min(s.coverage for s in samples),
+            queue_depth_max=max(s.queue_depth_max for s in samples),
+            precision=min(s.precision for s in samples),
+            recall=min(s.recall for s in samples),
+        )
+        checks = judge_sample(worst, slo)
         return HealthReport(
             samples=len(samples),
             window_start=samples[0].t,

@@ -274,16 +274,15 @@ class TestPerNetworkMessageIds:
 
 
 class TestSystemIntegration:
-    def test_trace_events_back_compat_tuple_view(self):
+    def test_trace_events_are_structured(self):
         system = build_system()
         o = system.search(SearchRequest(wide_query(), client_node=0, trace=True)).outcome
         assert o.trace_events
-        assert o.trace is o.trace_events
-        for entry in o.trace:
-            t, event, subject, detail = entry
-            assert entry[0] == t and entry[1] == event
-            assert entry[3] == detail and len(entry) == 4
+        for entry in o.trace_events:
             assert isinstance(entry, TraceEvent)
+            assert entry.time >= o.started_at
+            assert entry.event and isinstance(entry.subject, str)
+            assert isinstance(entry.detail, str)
 
     def test_trace_false_adds_zero_events(self):
         tel = Telemetry()
@@ -291,13 +290,12 @@ class TestSystemIntegration:
         baseline = tel.bus.emitted
         o = system.search(SearchRequest(wide_query(), client_node=0, trace=False)).outcome
         assert o.trace_events == []
-        assert o.trace == []
         # The bus still sees query.* structured events...
         assert tel.bus.emitted > baseline
         # ...but a system without telemetry records nothing anywhere.
         plain = build_system()
         o2 = plain.search(SearchRequest(wide_query(), client_node=0, trace=False)).outcome
-        assert o2.trace == []
+        assert o2.trace_events == []
 
     def test_disabled_telemetry_records_zero_events(self):
         tel = Telemetry(enabled=False)
