@@ -492,17 +492,25 @@ class RoadsSystem:
             raise ValueError(
                 f"{len(requests)} requests but {len(offsets)} arrivals"
             )
-        pendings: List[Optional[PendingSearch]] = [None] * len(requests)
+        results: List[Optional[SearchResult]] = [None] * len(requests)
+        remaining = len(requests)
+
+        def resolved(i: int, result: SearchResult) -> None:
+            nonlocal remaining
+            results[i] = result
+            remaining -= 1
+
         for i, (req, at) in enumerate(zip(requests, offsets)):
             def launch(i=i, req=req) -> None:
-                pendings[i] = self.submit(req)
+                self.submit(req, on_complete=lambda r, i=i: resolved(i, r))
 
             self.sim.schedule(at, launch, "query.submit")
-        while (
-            any(p is None or not p.done for p in pendings) and self.sim.step()
-        ):
+        # Completion is counted, not polled: stop at the event that
+        # resolves the last search, without draining the free-running
+        # plane behind it.
+        while remaining and self.sim.step():
             pass
-        return [p.result for p in pendings]
+        return results
 
     def widening(
         self, request: SearchRequest, *, min_matches: int = 1

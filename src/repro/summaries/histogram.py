@@ -17,6 +17,7 @@ is an ablation axis (see DESIGN.md §5).
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
@@ -35,7 +36,7 @@ _HEADER_BYTES = 16
 class HistogramSummary(AttributeSummary):
     """Equal-width bucket histogram over a bounded numeric domain."""
 
-    __slots__ = ("attribute", "lo", "hi", "counts", "encoding", "_fp")
+    __slots__ = ("attribute", "lo", "hi", "counts", "encoding", "_fp", "_occ")
 
     def __init__(
         self,
@@ -69,6 +70,7 @@ class HistogramSummary(AttributeSummary):
                 raise ValueError("histogram counts must be non-negative")
             self.counts = counts.copy()
         self._fp = None
+        self._occ = None
 
     # -- construction ------------------------------------------------------------
     @classmethod
@@ -105,6 +107,7 @@ class HistogramSummary(AttributeSummary):
         h.encoding = encoding
         h.counts = counts
         h._fp = None
+        h._occ = None
         return h
 
     def add_values(self, values: Iterable[float]) -> None:
@@ -113,6 +116,7 @@ class HistogramSummary(AttributeSummary):
         if vals.size == 0:
             return
         self._fp = None
+        self._occ = None
         clipped = np.clip(vals, self.lo, self.hi)
         idx = self._bucket_of(clipped)
         np.add.at(self.counts, idx, 1)
@@ -148,11 +152,16 @@ class HistogramSummary(AttributeSummary):
         hi = min(predicate.hi, self.hi)
         if lo > hi:
             return False
-        m = self.buckets
+        # Evaluation only reads bucket non-emptiness: one byte per bucket,
+        # cached and reset exactly like the fingerprint.
+        occ = self._occ
+        if occ is None:
+            occ = self._occ = (self.counts > 0).tobytes()
+        m = len(occ)
         span = self.hi - self.lo
-        first = int(np.clip(np.floor((lo - self.lo) / span * m), 0, m - 1))
-        last = int(np.clip(np.floor((hi - self.lo) / span * m), 0, m - 1))
-        return bool(self.counts[first : last + 1].any())
+        first = max(0, min(math.floor((lo - self.lo) / span * m), m - 1))
+        last = max(0, min(math.floor((hi - self.lo) / span * m), m - 1))
+        return occ.find(1, first, last + 1) >= 0
 
     def _check_mergeable(self, other: AttributeSummary) -> "HistogramSummary":
         if not isinstance(other, HistogramSummary):
@@ -228,23 +237,6 @@ class HistogramSummary(AttributeSummary):
         h.update(np.ascontiguousarray(self.counts).tobytes())
         self._fp = h.digest()
         return self._fp
-
-    # -- introspection -------------------------------------------------------------
-    def count_in_range(self, lo: float, hi: float) -> int:
-        """Upper bound on how many summarized values lie in ``[lo, hi]``.
-
-        Bucket-granular: partial bucket overlap counts the whole bucket,
-        so this is an over-estimate — consistent with no-false-negatives.
-        """
-        lo = max(lo, self.lo)
-        hi = min(hi, self.hi)
-        if lo > hi:
-            return 0
-        m = self.buckets
-        span = self.hi - self.lo
-        first = int(np.clip(np.floor((lo - self.lo) / span * m), 0, m - 1))
-        last = int(np.clip(np.floor((hi - self.lo) / span * m), 0, m - 1))
-        return int(self.counts[first : last + 1].sum())
 
     def __eq__(self, other) -> bool:
         return (

@@ -10,9 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional
 
-import numpy as np
-
-from ..query.predicate import EqualsPredicate, RangePredicate
 from ..query.query import Query
 from ..records.schema import Schema
 from ..records.store import RecordStore
@@ -203,34 +200,6 @@ class ResourceSummary:
         return ResourceSummary(
             self.schema, self.config, dict(self.attributes), created_at=now
         )
-
-    # -- estimation ----------------------------------------------------------------
-    def estimated_matches(self, query: Query) -> int:
-        """Upper-bound match count, the min over numeric dimensions.
-
-        Used by clients to rank which redirected branch to visit first.
-        """
-        best = np.inf
-        for pred in query.predicates:
-            summ = self.attributes.get(pred.attribute)
-            if isinstance(pred, RangePredicate) and isinstance(summ, HistogramSummary):
-                best = min(best, summ.count_in_range(pred.lo, pred.hi))
-            elif isinstance(pred, RangePredicate) and isinstance(
-                summ, MultiResolutionHistogram
-            ):
-                best = min(best, summ.level(0).count_in_range(pred.lo, pred.hi))
-            elif isinstance(pred, EqualsPredicate) and summ is not None:
-                if not summ.may_match(pred):
-                    return 0
-        if not np.isfinite(best):
-            # Only categorical dimensions queried: fall back to total count.
-            for summ in self.attributes.values():
-                if isinstance(summ, HistogramSummary):
-                    return summ.total
-                if isinstance(summ, MultiResolutionHistogram):
-                    return summ.level(0).total
-            return 0
-        return int(best)
 
     def __repr__(self) -> str:
         return (

@@ -153,21 +153,88 @@ class TestEncoding:
             assert h.may_match(pred)
 
 
-class TestCountInRange:
-    def test_upper_bound(self):
-        values = np.random.default_rng(5).random(500)
-        h = HistogramSummary.from_values("a", values, 40)
-        lo, hi = 0.33, 0.71
-        exact = int(((values >= lo) & (values <= hi)).sum())
-        assert h.count_in_range(lo, hi) >= exact
+def reference_may_match(h, pred):
+    """The NumPy-scalar bucket maths ``may_match`` used before the
+    occupancy cache, kept here as the reference verdict."""
+    lo = max(pred.lo, h.lo)
+    hi = min(pred.hi, h.hi)
+    if lo > hi:
+        return False
+    m = h.buckets
+    span = h.hi - h.lo
+    first = int(np.clip(np.floor((lo - h.lo) / span * m), 0, m - 1))
+    last = int(np.clip(np.floor((hi - h.lo) / span * m), 0, m - 1))
+    return bool(h.counts[first : last + 1].any())
 
-    def test_full_range_is_total(self):
-        h = HistogramSummary.from_values("a", [0.1, 0.5, 0.9], 10)
-        assert h.count_in_range(0.0, 1.0) == 3
 
-    def test_disjoint_range(self):
-        h = HistogramSummary.from_values("rate", [1.0], 10, (0.0, 10.0))
-        assert h.count_in_range(50.0, 60.0) == 0
+def edge_predicates(h, rng, n=200):
+    """Predicates on bucket edges, outside the domain, with infinite
+    endpoints, and at random."""
+    m, lo, hi = h.buckets, h.lo, h.hi
+    span = hi - lo
+    edges = [lo + k * span / m for k in range(m + 1)]
+    points = edges + [lo - span, hi + span, -np.inf, np.inf]
+    points += list(lo - 0.5 * span + 2 * span * rng.random(n))
+    points += [np.nextafter(e, np.inf) for e in edges]
+    points += [np.nextafter(e, -np.inf) for e in edges]
+    for _ in range(n):
+        a, b = sorted(rng.choice(points, size=2))
+        yield RangePredicate(h.attribute, float(a), float(b))
+    for e in edges:
+        yield RangePredicate(h.attribute, e, e)
+
+
+class TestMayMatchMatchesReference:
+    @pytest.mark.parametrize("buckets", [1, 2, 7, 64, 100])
+    @pytest.mark.parametrize("bounds", [(0.0, 1.0), (-5.0, 3.0), (10.0, 1000.0)])
+    @pytest.mark.parametrize("fill", [0.0, 0.1, 0.5, 1.0])
+    def test_random_counts(self, buckets, bounds, fill):
+        rng = np.random.default_rng(buckets * 1000 + int(fill * 10))
+        counts = rng.integers(1, 5, buckets) * (rng.random(buckets) < fill)
+        h = HistogramSummary("a", buckets, bounds, counts=counts)
+        for pred in edge_predicates(h, rng):
+            assert h.may_match(pred) == reference_may_match(h, pred), pred
+
+    def test_all_empty_never_matches(self):
+        h = HistogramSummary("a", 16, (-5.0, 3.0))
+        assert not h.may_match(RangePredicate("a", -np.inf, np.inf))
+
+    def test_verdict_flips_after_add_values(self):
+        h = HistogramSummary.from_values("a", [0.05], 10)
+        pred = RangePredicate("a", 0.5, 0.6)
+        assert not h.may_match(pred)
+        h.add_values([0.55])
+        assert h.may_match(pred)
+        assert h.may_match(pred) == reference_may_match(h, pred)
+
+    def test_verdicts_survive_copy_merge_and_pickle(self):
+        import pickle
+
+        rng = np.random.default_rng(11)
+        a = HistogramSummary("a", 32, (-5.0, 3.0), counts=rng.integers(0, 2, 32))
+        b = HistogramSummary("a", 32, (-5.0, 3.0), counts=rng.integers(0, 2, 32))
+        preds = list(edge_predicates(a, rng, n=50))
+        for pred in preds:  # populate the caches before deriving
+            a.may_match(pred)
+            b.may_match(pred)
+        derived = [
+            a.copy(),
+            a.merge(b),
+            a.merge_many([b, a]),
+            pickle.loads(pickle.dumps(a)),
+            pickle.loads(pickle.dumps(a.merge(b))),
+        ]
+        for d in derived:
+            for pred in preds:
+                assert d.may_match(pred) == reference_may_match(d, pred)
+
+    def test_copy_does_not_share_cache_with_mutated_original(self):
+        h = HistogramSummary.from_values("a", [0.05], 10)
+        pred = RangePredicate("a", 0.5, 0.6)
+        assert not h.may_match(pred)
+        c = h.copy()
+        h.add_values([0.55])
+        assert h.may_match(pred) and not c.may_match(pred)
 
 
 class TestCopy:

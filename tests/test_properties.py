@@ -23,6 +23,8 @@ from repro.summaries import (
 )
 from repro.sword import ChordRouter, LocalityHash
 
+from .test_histogram import reference_may_match
+
 
 unit_floats = st.floats(
     min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False
@@ -88,15 +90,28 @@ class TestHistogramProperties:
         if fine.may_match(pred):
             assert coarse.may_match(pred)
 
-    @given(values=value_lists, buckets=bucket_counts,
-           lo=unit_floats, hi=unit_floats)
-    @settings(max_examples=100, deadline=None)
-    def test_count_in_range_upper_bounds_truth(self, values, buckets, lo, hi):
-        assume(lo <= hi)
-        h = HistogramSummary.from_values("x", values, buckets)
-        arr = np.asarray(values)
-        exact = int(((arr >= lo) & (arr <= hi)).sum()) if arr.size else 0
-        assert h.count_in_range(lo, hi) >= exact
+    @given(
+        counts=st.lists(st.integers(0, 3), min_size=1, max_size=80),
+        bounds=st.sampled_from([(0.0, 1.0), (-5.0, 3.0), (10.0, 1000.0)]),
+        ends=st.lists(
+            st.one_of(
+                st.floats(-2000.0, 2000.0, allow_nan=False),
+                st.sampled_from([-np.inf, np.inf]),
+                st.integers(-2, 82),  # bucket-edge index
+            ),
+            min_size=2, max_size=2,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_may_match_matches_reference(self, counts, bounds, ends):
+        h = HistogramSummary("x", len(counts), bounds, counts=np.array(counts))
+        span = bounds[1] - bounds[0]
+        lo, hi = sorted(
+            bounds[0] + e * span / len(counts) if isinstance(e, int) else e
+            for e in ends
+        )
+        pred = RangePredicate("x", lo, hi)
+        assert h.may_match(pred) == reference_may_match(h, pred)
 
 
 names = st.text(

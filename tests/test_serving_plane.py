@@ -244,6 +244,50 @@ class TestConcurrentServing:
             system.search_many([SearchRequest(q)], arrivals=[0.0, 1.0])
 
 
+class TestSearchManyStoppingPoint:
+    """``search_many`` counts completions down and stops at the event
+    that resolves the last search."""
+
+    def _requests(self, n):
+        queries = generate_queries(
+            WorkloadConfig(num_nodes=NODES, records_per_node=60, seed=SEED),
+            num_queries=n, dimensions=3,
+        )
+        return [
+            SearchRequest(q, client_node=(3 * i) % NODES)
+            for i, q in enumerate(queries)
+        ]
+
+    def test_stops_at_resolving_event_without_draining_plane(self):
+        system = build_system()
+        system.update_plane.start()
+        results = system.search_many(
+            self._requests(4), arrivals=[0.0, 0.1, 0.2, 0.3]
+        )
+        assert all(r is not None for r in results)
+        assert system.sim.now == max(r.finished_at for r in results)
+        # The free-running plane still has its next epochs queued.
+        assert system.sim.pending > 0
+        system.update_plane.stop()
+
+    def test_empty_batch_does_not_step(self):
+        system = build_system()
+        system.update_plane.start()
+        before = system.sim.processed
+        assert system.search_many([], arrivals=[]) == []
+        assert system.sim.processed == before
+        system.update_plane.stop()
+
+    def test_results_in_request_order_for_unsorted_arrivals(self):
+        system = build_system()
+        requests = self._requests(4)
+        arrivals = [0.3, 0.0, 0.2, 0.1]
+        t0 = system.sim.now
+        results = system.search_many(requests, arrivals=arrivals)
+        assert [r.request for r in results] == requests
+        assert [r.submitted_at - t0 for r in results] == pytest.approx(arrivals)
+
+
 class TestLoadGenerator:
     def _system_and_queries(self):
         system = build_system()

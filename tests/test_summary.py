@@ -140,20 +140,26 @@ class TestSoftState:
         assert r.created_at == 50.0
         assert s.created_at == 0.0
 
-
-class TestEstimation:
-    def test_estimated_matches_upper_bounds_truth(self, unit_store):
+    def test_refreshed_shares_evaluated_attributes(self, unit_store):
         cfg = SummaryConfig(histogram_buckets=64)
         s = ResourceSummary.from_store(unit_store, cfg)
-        q = Query.of(RangePredicate("a", 0.2, 0.4), RangePredicate("b", 0.1, 0.9))
-        assert s.estimated_matches(q) >= q.match_count(unit_store)
+        queries = [
+            Query.of(RangePredicate("a", lo, lo + w), RangePredicate("b", 0.1, 0.9))
+            for lo in (0.0, 0.2, 0.5, 0.95)
+            for w in (0.0, 0.01, 0.3)
+        ]
+        before = [s.may_match(q) for q in queries]
+        fresh = ResourceSummary.from_store(unit_store, cfg)
+        assert [fresh.may_match(q) for q in queries] == before
+        r = s.refreshed(50.0)
+        assert [r.may_match(q) for q in queries] == before
+        assert [s.may_match(q) for q in queries] == before
+        for q in queries:
+            if q.match_count(unit_store):
+                assert r.may_match(q)
 
-    def test_estimated_matches_zero_when_pruned(self, mixed_store):
-        cfg = SummaryConfig(histogram_buckets=64)
-        s = ResourceSummary.from_store(mixed_store, cfg)
-        q = Query.of(EqualsPredicate("type", "submarine"))
-        assert s.estimated_matches(q) == 0
 
+class TestEstimation:
     def test_encoded_size_sums_attributes(self, unit_store):
         cfg = SummaryConfig(histogram_buckets=64)
         s = ResourceSummary.from_store(unit_store, cfg)
